@@ -18,7 +18,7 @@
 //! | `hashmap-iter` | all crates | no iteration over `HashMap`s declared in the same file: iteration order is randomized per process and leaks nondeterminism into metrics, snapshots, and reports — use `BTreeMap`, sort first, or waive with a reason |
 //! | `safety-comment` | all code incl. tests | every `unsafe` token is paired, by token span, with a `// SAFETY:` (or `# Safety` doc) comment: same line, or walking the token stream backwards through comments/attributes/signature tokens until the previous statement boundary (`;`, `{`, `}`) |
 //! | `foreign-rand` | all crates except `simkit` and the `shims` | no `rand`-crate APIs (`thread_rng`, `StdRng`, …) or ad-hoc LCG multiplier constants: every random draw must flow from `simkit::rng` (seeded, forkable) or simulations stop being bit-reproducible |
-//! | `no-payload-to_vec` | data-plane crates (`core`, `nvmf`, `nvme`, `fabric`, `queues`, `faults`) | no `.to_vec()` in non-test code: payloads travel as refcounted `Bytes` handles allocated once at issue (DESIGN.md §12), and a stray copy silently re-introduces per-request allocation |
+//! | `no-payload-to_vec` | data-plane crates (`core`, `nvmf`, `nvme`, `fabric`, `queues`, `faults`) and `workload`, which issues every request | no `.to_vec()` in non-test code: payloads travel as refcounted `Bytes` handles allocated once at issue (DESIGN.md §12), and a stray copy silently re-introduces per-request allocation |
 //!
 //! Waivers: `// lint: allow(<rule>) <reason>` — anchored, not
 //! substring-matched: the waiver text must *start* a comment line
@@ -490,6 +490,7 @@ fn rule_no_to_vec(ctx: &Ctx, out: &mut Vec<Finding>) {
         "crates/fabric/src",
         "crates/queues/src",
         "crates/faults/src",
+        "crates/workload/src",
     ]
     .iter()
     .any(|s| ctx.rel_str.contains(s));
@@ -709,8 +710,17 @@ pub fn lint_source(rel: &Path, src: &str) -> Vec<Finding> {
     lint_source_with(rel, src, None)
 }
 
-/// Recursively collect `.rs` files under `dir`, skipping build output and
-/// VCS metadata.
+/// True when `dir` holds the manifest of a Cargo workspace of its own (a
+/// `[workspace]` table). Such a tree builds under its own rules, not this
+/// workspace's: the `perfbench/` benchmark, for one, must read the host
+/// clock to time the simulator.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+}
+
+/// Recursively collect `.rs` files under `dir`, skipping build output,
+/// VCS metadata and nested Cargo workspaces.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -720,7 +730,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name.starts_with('.') || is_own_workspace(&path) {
                 continue;
             }
             collect_rs(&path, out);
@@ -1022,8 +1032,11 @@ mod tests {
                 "{scope}: {f:?}"
             );
         }
+        // `workload` issues every request, so it is in scope.
+        assert!(lint("crates/workload/src/x.rs", src)
+            .iter()
+            .any(|x| x.rule == "no-payload-to_vec"));
         // Off the data plane (reports, experiments) copies are fine.
-        assert!(lint("crates/workload/src/x.rs", src).is_empty());
         assert!(lint("crates/experiments/src/x.rs", src).is_empty());
         // Test code is exempt.
         assert!(lint(

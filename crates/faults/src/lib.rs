@@ -312,10 +312,31 @@ pub struct FaultPlane {
     adversary: Option<AdvState>,
 }
 
-/// One routing decision: deliver after `Option<SimDuration>` (inline when
-/// `None`). A dropped PDU produces no entries; a duplicated one produces
-/// two.
-type Deliveries = Vec<(Option<SimDuration>, Pdu)>;
+/// One routing decision: the surviving copies in delivery order
+/// (replay, duplicate, original), each delivered after
+/// `Option<SimDuration>` (inline when `None`). A dropped PDU produces no
+/// entries. A PDU yields at most those three copies, so they are held
+/// inline and routing a PDU allocates nothing.
+#[derive(Default)]
+struct Deliveries {
+    slots: [Option<(Option<SimDuration>, Pdu)>; 3],
+    len: usize,
+}
+
+impl Deliveries {
+    fn push(&mut self, after: Option<SimDuration>, pdu: Pdu) {
+        self.slots[self.len] = Some((after, pdu));
+        self.len += 1;
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = (Option<SimDuration>, Pdu);
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<Self::Item>, 3>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().flatten()
+    }
+}
 
 impl FaultPlane {
     /// Build a plane from a profile and a forked RNG stream. When the
@@ -407,7 +428,7 @@ impl FaultPlane {
         if adv.cfg.replay_p > 0.0 && !adv.stash.is_empty() && adv.rng.gen_bool(adv.cfg.replay_p) {
             adv.stats.replays += 1;
             let idx = adv.rng.gen_range(0, adv.stash.len() as u64) as usize;
-            out.push((Some(REPLAY_LAG), adv.stash[idx].clone()));
+            out.push(Some(REPLAY_LAG), adv.stash[idx].clone());
         }
         if adv.cfg.invalid_flags_p > 0.0 && adv.rng.gen_bool(adv.cfg.invalid_flags_p) {
             // LS|TC cannot exist in a parsed `Pdu`: the forged capsule
@@ -449,7 +470,7 @@ impl FaultPlane {
     /// crash, flap, drop, corrupt, dup, delay/reorder) so identical seeds
     /// replay identically.
     fn decide(&mut self, now: SimTime, link: usize, toward_target: bool, pdu: Pdu) -> Deliveries {
-        let mut out = Deliveries::new();
+        let mut out = Deliveries::default();
         let Some(pdu) = self.adversary_intercept(link, toward_target, pdu, &mut out) else {
             return out;
         };
@@ -480,7 +501,7 @@ impl FaultPlane {
         }
         if self.profile.dup_p > 0.0 && self.rng.gen_bool(self.profile.dup_p) {
             self.stats.dups += 1;
-            out.push((Some(DUP_LAG), pdu.clone()));
+            out.push(Some(DUP_LAG), pdu.clone());
         }
         let mut hold = SimDuration::ZERO;
         if self.profile.delay_p > 0.0 && self.rng.gen_bool(self.profile.delay_p) {
@@ -500,11 +521,7 @@ impl FaultPlane {
                 hold = end.since(now);
             }
         }
-        if hold == SimDuration::ZERO {
-            out.push((None, pdu));
-        } else {
-            out.push((Some(hold), pdu));
-        }
+        out.push((hold != SimDuration::ZERO).then_some(hold), pdu);
         out
     }
 }
@@ -552,26 +569,42 @@ fn corrupt_one_bit(rng: &mut Pcg32, pdu: &Pdu) -> Option<Pdu> {
     Pdu::decode(&buf)
 }
 
-/// A direction-erased delivery closure (what survives the plane).
-type Deliver = Rc<dyn Fn(&mut Kernel, Pdu)>;
+/// A wrapped delivery closure of either direction. `from` is the
+/// sending initiator's slot; the initiator-bound closure ignores it.
+trait Rx: Clone + 'static {
+    fn deliver(&self, k: &mut Kernel, from: u8, pdu: Pdu);
+}
+
+impl Rx for TargetRx {
+    fn deliver(&self, k: &mut Kernel, from: u8, pdu: Pdu) {
+        self(k, from, pdu)
+    }
+}
+
+impl Rx for PduRx {
+    fn deliver(&self, k: &mut Kernel, _from: u8, pdu: Pdu) {
+        self(k, pdu)
+    }
+}
 
 /// Run one PDU through the plane and hand the surviving copies to
-/// `deliver` (inline, or via scheduled events for delayed copies).
-fn dispatch(
+/// `inner` (inline, or via scheduled events for delayed copies).
+fn dispatch<R: Rx>(
     plane: &Shared<FaultPlane>,
     k: &mut Kernel,
     link: usize,
     toward_target: bool,
+    from: u8,
     pdu: Pdu,
-    deliver: Deliver,
+    inner: &R,
 ) {
     let deliveries = plane.borrow_mut().decide(k.now(), link, toward_target, pdu);
     for (after, pdu) in deliveries {
         match after {
-            None => deliver(k, pdu),
+            None => inner.deliver(k, from, pdu),
             Some(d) => {
-                let deliver = deliver.clone();
-                k.schedule_in(d, move |k| deliver(k, pdu));
+                let inner = inner.clone();
+                k.schedule_in(d, move |k| inner.deliver(k, from, pdu));
             }
         }
     }
@@ -582,9 +615,7 @@ fn dispatch(
 pub fn wrap_target_rx(plane: &Shared<FaultPlane>, link: usize, inner: TargetRx) -> TargetRx {
     let plane = plane.clone();
     Rc::new(move |k: &mut Kernel, from: u8, pdu: Pdu| {
-        let inner = inner.clone();
-        let deliver: Deliver = Rc::new(move |k, pdu| inner(k, from, pdu));
-        dispatch(&plane, k, link, true, pdu, deliver);
+        dispatch(&plane, k, link, true, from, pdu, &inner);
     })
 }
 
@@ -592,7 +623,7 @@ pub fn wrap_target_rx(plane: &Shared<FaultPlane>, link: usize, inner: TargetRx) 
 pub fn wrap_pdu_rx(plane: &Shared<FaultPlane>, link: usize, inner: PduRx) -> PduRx {
     let plane = plane.clone();
     Rc::new(move |k: &mut Kernel, pdu: Pdu| {
-        dispatch(&plane, k, link, false, pdu, inner.clone());
+        dispatch(&plane, k, link, false, 0, pdu, &inner);
     })
 }
 

@@ -65,8 +65,9 @@ pub struct NvmeDevice {
     /// (deterministic per seed). Fault-injection knob for testing error
     /// propagation through coalesced batches.
     error_rate: f64,
-    /// Cached zero block handed out by timing-only reads.
-    zero_block: Bytes,
+    /// Zeros handed out by timing-only reads: every read returns a view
+    /// of this one buffer, which grows when a larger read first arrives.
+    zeros: Bytes,
     /// Counters.
     pub stats: DeviceStats,
 }
@@ -89,7 +90,7 @@ impl NvmeDevice {
             inflight: 0,
             store_data: true,
             error_rate: 0.0,
-            zero_block: Bytes::from(vec![0u8; BLOCK_SIZE]),
+            zeros: Bytes::from(vec![0u8; BLOCK_SIZE]),
             stats: DeviceStats::default(),
         }
     }
@@ -275,12 +276,14 @@ impl NvmeDevice {
                 } else {
                     self.stats.reads += 1;
                     self.stats.blocks_read += u64::from(sqe.blocks());
-                    let data = if sqe.blocks() == 1 {
-                        self.zero_block.clone()
-                    } else {
-                        Bytes::from(vec![0u8; sqe.data_len()])
-                    };
-                    (Cqe::success(sqe.cid, sq_head), Some(data))
+                    let len = sqe.data_len();
+                    if self.zeros.len() < len {
+                        self.zeros = Bytes::from(vec![0u8; len]);
+                    }
+                    (
+                        Cqe::success(sqe.cid, sq_head),
+                        Some(self.zeros.slice(..len)),
+                    )
                 }
             }
             Opcode::Write => {
@@ -580,6 +583,32 @@ mod tests {
         }
         k2.run_to_completion();
         assert_eq!(err, *errs2.borrow());
+    }
+
+    #[test]
+    fn timing_only_reads_share_one_zero_buffer() {
+        let dev = new_dev();
+        dev.borrow_mut().set_store_data(false);
+        let mut k = Kernel::new(9);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        // One at a time: the data is produced when service completes.
+        for (cid, blocks) in [(1u16, 8u16), (2, 3), (3, 16)] {
+            let g = got.clone();
+            let sqe = Sqe::read(cid, 1, u64::from(cid) * 64, blocks);
+            NvmeDevice::submit(&dev, &mut k, sqe, None, move |_, r| {
+                assert!(r.cqe.status.is_ok());
+                g.borrow_mut().push(r.data.expect("read data"));
+            });
+            k.run_to_completion();
+        }
+        let got = got.take();
+        let lens: Vec<usize> = got.iter().map(|d| d.len()).collect();
+        assert_eq!(lens, [8 * BLOCK_SIZE, 3 * BLOCK_SIZE, 16 * BLOCK_SIZE]);
+        assert!(got.iter().all(|d| d.iter().all(|&b| b == 0)));
+        // The two reads that fit the 8-block buffer are views of it; only
+        // the larger 16-block read grew a new one.
+        assert_eq!(got[0].as_ptr(), got[1].as_ptr());
+        assert_ne!(got[0].as_ptr(), got[2].as_ptr());
     }
 
     #[test]

@@ -151,9 +151,11 @@ impl<T> LanePort<T> {
     }
 
     /// Publish this lane's bound: a promise that every message it sends
-    /// from now on carries a timestamp ≥ `bound`. Must not decrease.
+    /// from now on carries a timestamp ≥ `bound`. Panics if it decreases,
+    /// in release builds too: a regressed bound would let a peer merge
+    /// past a message still to come, silently breaking determinism.
     pub fn publish(&mut self, bound: u64) {
-        debug_assert!(
+        assert!(
             bound >= self.published,
             "lane {} bound regressed: {} -> {bound}",
             self.id,
